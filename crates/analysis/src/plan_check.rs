@@ -321,7 +321,7 @@ impl Checker<'_> {
                 }
                 schema
             }
-            PhysicalPlan::RowNumber { input, specs } => {
+            PhysicalPlan::RowNumber { input, specs, .. } => {
                 let mut schema = self.check(input, &format!("{}/row-number.input", path));
                 for (i, keys) in specs.iter().enumerate() {
                     for key in keys {
@@ -670,6 +670,7 @@ mod tests {
             PhysicalPlan::RowNumber {
                 input: scan(),
                 specs: vec![vec![]],
+                index_ordinals: false,
             },
             PhysicalPlan::Distinct { input: scan() },
             PhysicalPlan::UnionAll(vec![*scan(), *scan()]),

@@ -696,9 +696,9 @@ fn profile_report(path: &str, opts: &Options) {
 /// exemption cannot swallow the gate.
 fn delta_report(path: &str, opts: &Options) {
     let batch_sizes = [1usize, 8, 64];
-    // Per-batch maintenance cost is heavy-tailed (a delete that shifts many
-    // ranks costs O(n), a localised insert costs microseconds), so the
-    // median needs a real sample size to settle.
+    // Per-batch maintenance cost is heavy-tailed (a write to an outer table
+    // touches the written row's whole subtree, a leaf write one group), so
+    // the median needs a real sample size to settle.
     let batches = (opts.runs * 16).max(32);
     println!(
         "\n=== Incremental maintenance vs. full recompute ({} departments, {} batches/cell) ===",

@@ -19,10 +19,24 @@
 //!   re-materialises only the nested subtrees whose groups changed — every
 //!   clean subtree is a cache hit.
 //!
-//! When a write falls outside the incremental fragment (the executor bails,
-//! e.g. a correlated `EXISTS` over a mutated table), the stage is re-seeded
-//! from scratch and all of its groups are marked dirty — recompute-from-
-//! scratch is always the fallback, never an error.
+//! Index ordinals stay put. The `ROW_NUMBER` windows that number a stage's
+//! flat indexes are marked index ordinals by SQL generation, and
+//! [`DeltaExec`] keeps each row's ordinal for as long as the row lives
+//! instead of renumbering every later row. A parent stage's body window and
+//! its child's `WITH` window see the same window keys and the same key
+//! deltas, so they keep holding the same ordinals (the cross-stage invariant
+//! documented on [`DeltaExec`]) and the `(oidx_tag, oidx_ord)` join between
+//! them stays exact. A delete therefore touches the deleted row's subtree,
+//! not every group numbered after it. Fresh ordinals keep creating new group
+//! keys, so the stitcher also forgets the memoised values and dependency
+//! edges of groups nothing references any more.
+//!
+//! When a write falls outside the incremental fragment (an executor bails,
+//! e.g. a correlated `EXISTS` over a mutated table), *every* stage of the
+//! view is re-seeded from scratch and the value cache is dropped: a stage
+//! re-seeded alone would go back to dense numbering and break the join on
+//! ordinals its neighbours kept. Recompute-from-scratch is always the
+//! fallback, never an error.
 //!
 //! The public surface is [`Subscription`] (handed out by
 //! `Shredder::subscribe`) plus re-exports of the sqlengine write-batch
@@ -57,21 +71,30 @@ struct LiveStage {
     groups: HashMap<IndexValue, Vec<Row>>,
 }
 
+/// A stitched group: `(stage, outer index)`.
+type GroupKey = (usize, IndexValue);
+
 /// The mutable half of a live view, behind the subscription's mutex.
 struct LiveState {
     /// Stages in package pre-order (the same order as
     /// [`Package::annotations`]).
     stages: Vec<LiveStage>,
-    /// Memoised stitched values, one per `(stage, outer index)` group.
-    cache: HashMap<(usize, IndexValue), Value>,
-    /// Reverse dependency edges: child group → the parent groups whose rows
-    /// referenced it. Recorded while stitching, consulted while dirtying.
-    /// Edges are add-only; a stale edge can only over-invalidate, never
-    /// under-invalidate.
-    parents: HashMap<(usize, IndexValue), HashSet<(usize, IndexValue)>>,
+    /// Memoised stitched values, one per group.
+    cache: HashMap<GroupKey, Value>,
+    /// Reverse dependency edges: child group → the groups whose last stitch
+    /// read it. Consulted while dirtying; a stale edge (from a group that was
+    /// dirtied and not yet re-stitched) can only over-invalidate.
+    parents: HashMap<GroupKey, HashSet<GroupKey>>,
+    /// Forward edges, the mirror of `parents`: group → the child groups its
+    /// last stitch read (absent when it read none). When a re-stitch stops
+    /// reading a child, the child loses that parent; a child left with no
+    /// parent is unreachable, and it and its own subtree leave `cache`,
+    /// `parents` and `children`.
+    children: HashMap<GroupKey, HashSet<GroupKey>>,
     /// Bumped once per maintained write batch.
     generation: u64,
-    /// How many stage re-seeds fell back to recompute-from-scratch.
+    /// How many stage re-seeds fell back to recompute-from-scratch (a bail
+    /// re-seeds every stage of the view).
     reseeds: u64,
     /// Cumulative wall time spent inside [`LiveView::maintain`].
     maintain_nanos: u64,
@@ -124,6 +147,7 @@ impl LiveView {
                 stages,
                 cache: HashMap::new(),
                 parents: HashMap::new(),
+                children: HashMap::new(),
                 generation: 0,
                 reseeds: 0,
                 maintain_nanos: 0,
@@ -134,60 +158,66 @@ impl LiveView {
     /// Fold a committed write into every stage and invalidate exactly the
     /// stitched subtrees it touched. `storage` must be the post-state (the
     /// delta already applied). A stage whose plan reads none of the written
-    /// tables is skipped outright by its executor; a stage outside the
-    /// incremental fragment is re-seeded and fully dirtied.
+    /// tables is skipped outright by its executor. When any stage falls
+    /// outside the incremental fragment, every stage is re-seeded and the
+    /// value cache dropped; the result says whether that happened.
     pub(crate) fn maintain(
         &self,
         storage: &Storage,
         delta: &StorageDelta,
-    ) -> Result<(), ShredError> {
+    ) -> Result<bool, ShredError> {
         let tm = std::time::Instant::now();
         let plans = self.compiled.stages.annotations();
         let mut guard = self.state.lock().expect("live view lock");
         let st = &mut *guard;
         let n = st.stages.len();
         let mut dirty: Vec<HashSet<IndexValue>> = vec![HashSet::new(); n];
+        let mut bailed = false;
         for (i, qs) in plans.iter().enumerate() {
-            let out = st.stages[i]
-                .exec
-                .apply(&qs.plan, storage, &self.params, delta)?;
-            match out {
-                Some(rows) => {
-                    apply_group_delta(&mut st.stages[i].groups, &rows, &mut dirty[i])?;
-                }
+            let stage = &mut st.stages[i];
+            match stage.exec.apply(&qs.plan, storage, &self.params, delta)? {
+                Some(rows) => apply_group_delta(&mut stage.groups, &rows, &mut dirty[i])?,
                 None => {
-                    st.reseeds += 1;
-                    let stage = &mut st.stages[i];
-                    stage.exec.seed(&qs.plan, storage, &self.params)?;
-                    let mut keys: HashSet<IndexValue> = stage.groups.keys().cloned().collect();
-                    stage.groups = group_rows(stage.exec.rows())?;
-                    keys.extend(stage.groups.keys().cloned());
-                    dirty[i] = keys;
+                    bailed = true;
+                    break;
                 }
             }
         }
-        // Dirtiness flows child → parent. Stages are numbered in pre-order,
-        // so every parent has a smaller index than its descendants; walking
-        // indices downwards processes each stage after everything that can
-        // dirty it.
-        for i in (0..n).rev() {
-            let groups: Vec<IndexValue> = dirty[i].iter().cloned().collect();
-            for g in groups {
-                if let Some(ps) = st.parents.get(&(i, g)) {
-                    for (pi, pg) in ps.clone() {
-                        dirty[pi].insert(pg);
+        if bailed {
+            // Re-seeding numbers every stage densely again, so no ordinal —
+            // and no memoised group — survives.
+            for (stage, qs) in st.stages.iter_mut().zip(&plans) {
+                stage.exec.seed(&qs.plan, storage, &self.params)?;
+                stage.groups = group_rows(stage.exec.rows())?;
+            }
+            st.reseeds += n as u64;
+            st.cache.clear();
+            st.parents.clear();
+            st.children.clear();
+        } else {
+            // Dirtiness flows child → parent. Stages are numbered in
+            // pre-order, so every parent has a smaller index than its
+            // descendants; walking indices downwards processes each stage
+            // after everything that can dirty it.
+            for i in (0..n).rev() {
+                let groups: Vec<IndexValue> = dirty[i].iter().cloned().collect();
+                for g in groups {
+                    if let Some(ps) = st.parents.get(&(i, g)) {
+                        for (pi, pg) in ps.clone() {
+                            dirty[pi].insert(pg);
+                        }
                     }
                 }
             }
-        }
-        for (i, set) in dirty.iter().enumerate() {
-            for g in set {
-                st.cache.remove(&(i, g.clone()));
+            for (i, set) in dirty.into_iter().enumerate() {
+                for g in set {
+                    st.cache.remove(&(i, g));
+                }
             }
         }
         st.generation += 1;
         st.maintain_nanos += tm.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        Ok(())
+        Ok(bailed)
     }
 
     /// Materialise the view's current nested value, reusing every cached
@@ -198,15 +228,15 @@ impl LiveView {
             stages,
             cache,
             parents,
+            children,
             ..
         } = &mut *guard;
-        live_bag(
-            &self.shape,
-            &IndexValue::top(IndexScheme::Flat),
-            stages,
+        let mut memo = Memo {
             cache,
             parents,
-        )
+            children,
+        };
+        memo.bag(&self.shape, &IndexValue::top(IndexScheme::Flat), stages)
     }
 
     pub(crate) fn generation(&self) -> u64 {
@@ -250,8 +280,9 @@ impl Subscription {
         self.inner.generation()
     }
 
-    /// How many times maintenance fell back to re-seeding a stage from
-    /// scratch because a write fell outside the incremental fragment.
+    /// How many stage re-seeds maintenance fell back to because a write
+    /// fell outside the incremental fragment. One such write re-seeds every
+    /// stage of the view, so it adds the view's stage count.
     pub fn reseeds(&self) -> u64 {
         self.inner.reseeds()
     }
@@ -367,98 +398,139 @@ fn apply_group_delta(
 // The caching stitcher
 // ---------------------------------------------------------------------------
 
-/// Stitch one bag group, consulting the value cache first. On a rebuild the
-/// finished bag is memoised and, for every nested index the group's rows
-/// read, a reverse edge child group → this group is recorded so later
-/// writes deep in the tree know to invalidate it.
-fn live_bag(
-    shape: &Package<usize>,
-    index: &IndexValue,
-    stages: &[LiveStage],
-    cache: &mut HashMap<(usize, IndexValue), Value>,
-    parents: &mut HashMap<(usize, IndexValue), HashSet<(usize, IndexValue)>>,
-) -> Result<Value, ShredError> {
-    let Package::Bag(stage_idx, inner) = shape else {
-        return Err(ShredError::Internal(
-            "live stitching requires a bag-typed package node".to_string(),
-        ));
-    };
-    let key = (*stage_idx, index.clone());
-    if let Some(v) = cache.get(&key) {
-        return Ok(v.clone());
-    }
-    let rows: &[Row] = stages[*stage_idx]
-        .groups
-        .get(index)
-        .map(Vec::as_slice)
-        .unwrap_or(&[]);
-    let mut items = Vec::with_capacity(rows.len());
-    for row in rows {
-        let mut leaf = 0usize;
-        items.push(live_value(
-            inner, *stage_idx, row, &mut leaf, stages, cache, parents,
-        )?);
-    }
-    let v = Value::Bag(items);
-    cache.insert(key, v.clone());
-    Ok(v)
+/// The stitcher's memo: the value cache and the dependency edges between
+/// groups (see [`LiveState`]).
+struct Memo<'a> {
+    cache: &'a mut HashMap<GroupKey, Value>,
+    parents: &'a mut HashMap<GroupKey, HashSet<GroupKey>>,
+    children: &'a mut HashMap<GroupKey, HashSet<GroupKey>>,
 }
 
-/// Materialise one row of a stage, walking the package shape in lockstep
-/// with the layout's pre-resolved leaves — the live-view analogue of the
-/// columnar stitcher's row walk, reading from maintained group rows instead
-/// of decoded columns.
-fn live_value(
-    shape: &Package<usize>,
-    stage_idx: usize,
-    row: &Row,
-    leaf: &mut usize,
-    stages: &[LiveStage],
-    cache: &mut HashMap<(usize, IndexValue), Value>,
-    parents: &mut HashMap<(usize, IndexValue), HashSet<(usize, IndexValue)>>,
-) -> Result<Value, ShredError> {
-    match shape {
-        Package::Record(fields) => {
-            let mut out = Vec::with_capacity(fields.len());
-            for (label, field_shape) in fields {
-                out.push((
-                    label.clone(),
-                    live_value(field_shape, stage_idx, row, leaf, stages, cache, parents)?,
-                ));
-            }
-            Ok(Value::Record(out))
+impl Memo<'_> {
+    /// Stitch one bag group, consulting the value cache first. A rebuilt
+    /// bag is memoised, and its edges are replaced by the child groups its
+    /// rows read now, so later writes deep in the tree know to invalidate
+    /// it.
+    fn bag(
+        &mut self,
+        shape: &Package<usize>,
+        index: &IndexValue,
+        stages: &[LiveStage],
+    ) -> Result<Value, ShredError> {
+        let Package::Bag(stage_idx, inner) = shape else {
+            return Err(ShredError::Internal(
+                "live stitching requires a bag-typed package node".to_string(),
+            ));
+        };
+        let key = (*stage_idx, index.clone());
+        if let Some(v) = self.cache.get(&key) {
+            return Ok(v.clone());
         }
-        Package::Base(b) => {
-            let l = next_leaf(&stages[stage_idx].layout, leaf)?;
-            if !matches!(l.kind, LeafKind::Base(_)) {
-                return Err(decode_err(
-                    codes::DECODE_SHAPE_MISMATCH,
-                    format!(
-                        "layout leaf {} is an index but the package expects a base value",
-                        l.name
-                    ),
-                ));
-            }
-            sql_to_value(cell(row, l.col)?, *b)
+        let rows: &[Row] = stages[*stage_idx]
+            .groups
+            .get(index)
+            .map(Vec::as_slice)
+            .unwrap_or(&[]);
+        let mut items = Vec::with_capacity(rows.len());
+        let mut read = HashSet::new();
+        for row in rows {
+            let mut leaf = 0usize;
+            items.push(self.value(inner, *stage_idx, row, &mut leaf, stages, &mut read)?);
         }
-        Package::Bag(child_idx, _) => {
-            let l = next_leaf(&stages[stage_idx].layout, leaf)?;
-            if l.kind != LeafKind::Index {
-                return Err(decode_err(
-                    codes::DECODE_SHAPE_MISMATCH,
-                    format!(
-                        "layout leaf {} is a base column but the package expects a nested bag",
-                        l.name
-                    ),
-                ));
-            }
-            let child_index = flat_index(cell(row, l.col)?, cell(row, l.col + 1)?)?;
-            let parent_index = group_key(row)?;
-            parents
-                .entry((*child_idx, child_index.clone()))
+        for child in &read {
+            self.parents
+                .entry(child.clone())
                 .or_default()
-                .insert((stage_idx, parent_index));
-            live_bag(shape, &child_index, stages, cache, parents)
+                .insert(key.clone());
+        }
+        let before = self.children.remove(&key).unwrap_or_default();
+        for child in before {
+            if !read.contains(&child) {
+                self.unlink(child, &key);
+            }
+        }
+        if !read.is_empty() {
+            self.children.insert(key.clone(), read);
+        }
+        let v = Value::Bag(items);
+        self.cache.insert(key, v.clone());
+        Ok(v)
+    }
+
+    /// Drop the edge `parent` → `child`. A child left with no parent is
+    /// unreachable from the top: forget its memoised value and its edges,
+    /// and unlink its own children in turn.
+    fn unlink(&mut self, child: GroupKey, parent: &GroupKey) {
+        let orphaned = match self.parents.get_mut(&child) {
+            Some(ps) => {
+                ps.remove(parent);
+                ps.is_empty()
+            }
+            None => true,
+        };
+        if !orphaned {
+            return;
+        }
+        self.parents.remove(&child);
+        self.cache.remove(&child);
+        for grandchild in self.children.remove(&child).unwrap_or_default() {
+            self.unlink(grandchild, &child);
+        }
+    }
+
+    /// Materialise one row of a stage, walking the package shape in
+    /// lockstep with the layout's pre-resolved leaves — the live-view
+    /// analogue of the columnar stitcher's row walk, reading from maintained
+    /// group rows instead of decoded columns. Every nested group the row
+    /// reads is added to `read`.
+    fn value(
+        &mut self,
+        shape: &Package<usize>,
+        stage_idx: usize,
+        row: &Row,
+        leaf: &mut usize,
+        stages: &[LiveStage],
+        read: &mut HashSet<GroupKey>,
+    ) -> Result<Value, ShredError> {
+        match shape {
+            Package::Record(fields) => {
+                let mut out = Vec::with_capacity(fields.len());
+                for (label, field_shape) in fields {
+                    out.push((
+                        label.clone(),
+                        self.value(field_shape, stage_idx, row, leaf, stages, read)?,
+                    ));
+                }
+                Ok(Value::Record(out))
+            }
+            Package::Base(b) => {
+                let l = next_leaf(&stages[stage_idx].layout, leaf)?;
+                if !matches!(l.kind, LeafKind::Base(_)) {
+                    return Err(decode_err(
+                        codes::DECODE_SHAPE_MISMATCH,
+                        format!(
+                            "layout leaf {} is an index but the package expects a base value",
+                            l.name
+                        ),
+                    ));
+                }
+                sql_to_value(cell(row, l.col)?, *b)
+            }
+            Package::Bag(child_idx, _) => {
+                let l = next_leaf(&stages[stage_idx].layout, leaf)?;
+                if l.kind != LeafKind::Index {
+                    return Err(decode_err(
+                        codes::DECODE_SHAPE_MISMATCH,
+                        format!(
+                            "layout leaf {} is a base column but the package expects a nested bag",
+                            l.name
+                        ),
+                    ));
+                }
+                let child_index = flat_index(cell(row, l.col)?, cell(row, l.col + 1)?)?;
+                read.insert((*child_idx, child_index.clone()));
+                self.bag(shape, &child_index, stages)
+            }
         }
     }
 }
@@ -660,5 +732,57 @@ mod tests {
 
         let expected = execute_bound(&compiled, &engine, &ParamValues::new()).unwrap();
         assert!(view.value().unwrap().multiset_eq(&expected));
+    }
+
+    /// Fresh ordinals keep minting new group keys, so the stitcher's memo
+    /// must forget groups as they die: after a long churn of department and
+    /// employee inserts and deletes, the value cache and the dependency
+    /// edges hold exactly what a freshly seeded view of the same data holds
+    /// — one entry per group reachable from the top.
+    #[test]
+    fn the_stitch_memo_stays_bounded_by_the_live_groups_under_churn() {
+        let database = db();
+        let compiled = Arc::new(compile(&nested_query(), &schema()).unwrap());
+        let engine = engine_from_database(&database).unwrap();
+        let view =
+            LiveView::new(Arc::clone(&compiled), ParamValues::new(), &engine.storage()).unwrap();
+        let dept = |id: i64| vec![SqlValue::Int(id), SqlValue::str(format!("D{}", id))];
+        for i in 0..1000i64 {
+            let mut batch = WriteBatch::new()
+                .insert("departments", dept(10 + i))
+                .insert(
+                    "employees",
+                    employee(1000 + i, &format!("D{}", 10 + i), "E", i),
+                )
+                .insert("employees", employee(5000 + i, "Product", "P", i));
+            if i >= 3 {
+                batch = batch
+                    .delete("departments", dept(10 + i - 3))
+                    .delete(
+                        "employees",
+                        employee(1000 + i - 3, &format!("D{}", 7 + i), "E", i - 3),
+                    )
+                    .delete("employees", employee(5000 + i - 3, "Product", "P", i - 3));
+            }
+            let delta = engine.apply_batch(&batch).unwrap();
+            assert!(!view.maintain(&engine.storage(), &delta).unwrap());
+            if i % 97 == 0 {
+                let expected = execute_bound(&compiled, &engine, &ParamValues::new()).unwrap();
+                assert!(view.value().unwrap().multiset_eq(&expected), "batch {}", i);
+            } else {
+                view.value().unwrap();
+            }
+        }
+        let fresh =
+            LiveView::new(Arc::clone(&compiled), ParamValues::new(), &engine.storage()).unwrap();
+        fresh.value().unwrap();
+        let churned = view.state.lock().unwrap();
+        let seeded = fresh.state.lock().unwrap();
+        let live_groups: usize = seeded.stages.iter().map(|s| s.groups.len()).sum();
+        assert!(seeded.cache.len() >= live_groups);
+        assert_eq!(churned.cache.len(), seeded.cache.len());
+        assert_eq!(churned.parents.len(), seeded.parents.len());
+        assert_eq!(churned.children.len(), seeded.children.len());
+        assert_eq!(churned.reseeds, 0);
     }
 }

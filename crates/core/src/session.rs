@@ -1754,7 +1754,9 @@ impl Shredder {
     ///
     /// Observability: bumps the `writes.applied` counter, adds the delta's
     /// signed row count to `delta.rows`, and records one `stage.maintain`
-    /// histogram sample per maintained subscription.
+    /// histogram sample per maintained subscription. Each subscription whose
+    /// maintenance fell outside the incremental fragment, and so re-seeded
+    /// all of its stages, bumps `delta.reseeds`.
     ///
     /// Note that writes go to the *engine storage*, which was loaded from
     /// the session's [`Database`] on first use: [`Shredder::database`] (and
@@ -1778,9 +1780,12 @@ impl Shredder {
         };
         if !live.is_empty() {
             let storage = engine.storage();
+            let reseeds = metrics.counter("delta.reseeds");
             for view in live {
                 let start = Instant::now();
-                view.maintain(&storage, &delta)?;
+                if view.maintain(&storage, &delta)? {
+                    reseeds.inc();
+                }
                 metrics.record(
                     Stage::Maintain.metric_name(),
                     start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
@@ -1827,10 +1832,12 @@ impl Shredder {
     }
 
     /// The session's metrics registry: counters (`queries.prepared`,
-    /// `queries.executed`, `queries.failed`), per-stage latency histograms
-    /// (`stage.execute`, `stage.stitch`, …), per-operator-kind histograms
-    /// from profiled runs (`operator.HashJoin`, …) and the end-to-end
-    /// `query.total` histogram. Shared by every clone of the session.
+    /// `queries.executed`, `queries.failed`, and for writes
+    /// `writes.applied`, `delta.rows`, `delta.reseeds`), per-stage latency
+    /// histograms (`stage.execute`, `stage.stitch`, …), per-operator-kind
+    /// histograms from profiled runs (`operator.HashJoin`, …) and the
+    /// end-to-end `query.total` histogram. Shared by every clone of the
+    /// session.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.core.metrics
     }

@@ -5,7 +5,9 @@
 //! `ROW_NUMBER() OVER (ORDER BY …)` where the ordering lists *all* columns of
 //! all tables referenced from the current subquery, making the numbering
 //! deterministic; `empty L` becomes `NOT EXISTS (…)`; and nested records are
-//! flattened to columns using [`crate::flatten::ResultLayout`].
+//! flattened to columns using [`crate::flatten::ResultLayout`]. Every window
+//! emitted here is marked an index ordinal ([`Expr::index_ordinal`]), which
+//! lets live views keep each row's ordinal stable under writes.
 
 use crate::error::ShredError;
 use crate::flatten::{value_to_sql, LeafKind, ResultLayout, OUTER_ORD_COLUMN, OUTER_TAG_COLUMN};
@@ -100,9 +102,13 @@ fn sql_of_comp(
     layout: &ResultLayout,
     schema: &Schema,
 ) -> Result<Query, ShredError> {
-    // The ORDER BY keys for this block's ROW_NUMBER: all columns of the
-    // let-bound subquery (if any) followed by all columns of the inner
-    // generators' tables.
+    // The ORDER BY keys for this block's ROW_NUMBER: the outer generators'
+    // columns (read through the let-bound subquery, if any) followed by all
+    // columns of the inner generators' tables. These are exactly the keys of
+    // the child stage's `WITH` numbering (`sql_of_binding`), so the two
+    // stages number the same rows alike. The surrogate `q.rn` is not a key:
+    // with duplicate rows in a keyless outer table it would order tied rows
+    // differently in the two stages and hand one row's children to another.
     let mut order_keys: Vec<Expr> = Vec::new();
     if let Some(binding) = &comp.binding {
         for (i, g) in binding.generators.iter().enumerate() {
@@ -110,14 +116,13 @@ fn sql_of_comp(
                 order_keys.push(Expr::col(OUTER_VAR, &cte_column(i, &col)));
             }
         }
-        order_keys.push(Expr::col(OUTER_VAR, SURROGATE_COLUMN));
     }
     order_keys.extend(generator_columns(schema, &comp.generators)?);
 
     let row_number = if order_keys.is_empty() {
         Expr::lit(1i64)
     } else {
-        Expr::row_number(order_keys)
+        Expr::index_ordinal(order_keys)
     };
 
     // Body SELECT.
@@ -160,7 +165,7 @@ fn sql_of_binding(binding: &LetBinding, schema: &Schema) -> Result<Select, Shred
             order_keys.push(Expr::col(&g.var, &col));
         }
     }
-    select = select.item(Expr::row_number(order_keys), SURROGATE_COLUMN);
+    select = select.item(Expr::index_ordinal(order_keys), SURROGATE_COLUMN);
     for g in &binding.generators {
         select = select.from_named(&g.table, &g.var);
     }

@@ -244,7 +244,18 @@ pub enum Expr {
     /// `EXISTS (subquery)`, possibly correlated with the enclosing query.
     Exists(Box<Query>),
     /// `ROW_NUMBER() OVER (ORDER BY keys)`.
-    RowNumber { order_by: Vec<Expr> },
+    ///
+    /// `index_ordinal` marks a window that numbers flat-index ordinals (the
+    /// shredding translation's `index` primitive). Such numbers need only be
+    /// injective and agree between the stages that join on them, so an
+    /// incremental executor may keep each row's number for as long as the
+    /// row lives instead of renumbering densely. The mark has no SQL-visible
+    /// effect: it is not printed, the parser never sets it, and every
+    /// from-scratch executor numbers marked windows densely.
+    RowNumber {
+        order_by: Vec<Expr>,
+        index_ordinal: bool,
+    },
 }
 
 impl Expr {
@@ -316,7 +327,19 @@ impl Expr {
 
     /// `ROW_NUMBER() OVER (ORDER BY keys)`.
     pub fn row_number(order_by: Vec<Expr>) -> Expr {
-        Expr::RowNumber { order_by }
+        Expr::RowNumber {
+            order_by,
+            index_ordinal: false,
+        }
+    }
+
+    /// `ROW_NUMBER() OVER (ORDER BY keys)` numbering flat-index ordinals
+    /// (see [`Expr::RowNumber`]).
+    pub fn index_ordinal(order_by: Vec<Expr>) -> Expr {
+        Expr::RowNumber {
+            order_by,
+            index_ordinal: true,
+        }
     }
 
     /// All aliases of columns mentioned in this expression (not descending
@@ -336,7 +359,7 @@ impl Expr {
                 }
                 Expr::Not(inner) => go(inner, acc),
                 Expr::Exists(_) => {}
-                Expr::RowNumber { order_by } => order_by.iter().for_each(|k| go(k, acc)),
+                Expr::RowNumber { order_by, .. } => order_by.iter().for_each(|k| go(k, acc)),
             }
         }
         let mut acc = Vec::new();
@@ -378,7 +401,9 @@ impl Expr {
             }
             Expr::Not(inner) => inner.contains_unqualified_column(),
             Expr::Exists(_) => false,
-            Expr::RowNumber { order_by } => order_by.iter().any(Expr::contains_unqualified_column),
+            Expr::RowNumber { order_by, .. } => {
+                order_by.iter().any(Expr::contains_unqualified_column)
+            }
         }
     }
 

@@ -411,7 +411,7 @@ fn exec_select(
     let joined = join_relations(&relations, &conjuncts, ctx, ctes, outer)?;
 
     // 3. Precompute ROW_NUMBER assignments over the joined rows.
-    let row_number_specs = collect_row_number_specs(select);
+    let (row_number_specs, _) = collect_row_number_specs(select);
     let row_numbers =
         compute_row_numbers(&row_number_specs, &joined, &relations, ctx, ctes, outer)?;
 
@@ -688,26 +688,35 @@ fn scope_for(outer: &Scope, relations: &[BoundRelation], combo: &[usize]) -> Sco
 }
 
 /// The distinct `ROW_NUMBER` window specifications of a select block (also
-/// used by the physical planner).
-pub(crate) fn collect_row_number_specs(select: &Select) -> Vec<Vec<Expr>> {
-    fn collect(e: &Expr, acc: &mut Vec<Vec<Expr>>) {
+/// used by the physical planner), and whether every one of them numbers
+/// flat-index ordinals (see [`Expr::RowNumber`]). The interpreter numbers
+/// densely either way.
+pub(crate) fn collect_row_number_specs(select: &Select) -> (Vec<Vec<Expr>>, bool) {
+    fn collect(e: &Expr, acc: &mut Vec<Vec<Expr>>, all_marked: &mut bool) {
         match e {
-            Expr::RowNumber { order_by } if !acc.contains(order_by) => {
-                acc.push(order_by.clone());
+            Expr::RowNumber {
+                order_by,
+                index_ordinal,
+            } => {
+                *all_marked &= *index_ordinal;
+                if !acc.contains(order_by) {
+                    acc.push(order_by.clone());
+                }
             }
             Expr::BinOp { left, right, .. } => {
-                collect(left, acc);
-                collect(right, acc);
+                collect(left, acc, all_marked);
+                collect(right, acc, all_marked);
             }
-            Expr::Not(inner) => collect(inner, acc),
+            Expr::Not(inner) => collect(inner, acc, all_marked),
             _ => {}
         }
     }
     let mut acc = Vec::new();
+    let mut all_marked = true;
     for item in &select.items {
-        collect(&item.expr, &mut acc);
+        collect(&item.expr, &mut acc, &mut all_marked);
     }
-    acc
+    (acc, all_marked)
 }
 
 /// For each joined row, the `ROW_NUMBER` value of each window specification.
@@ -780,7 +789,7 @@ fn eval_expr(
             let rs = exec_query(q, ctx, ctes, scope)?;
             Ok(SqlValue::Bool(!rs.is_empty()))
         }
-        Expr::RowNumber { order_by } => match row_numbers {
+        Expr::RowNumber { order_by, .. } => match row_numbers {
             Some(rn) => {
                 let idx =
                     rn.specs.iter().position(|s| s == order_by).ok_or_else(|| {

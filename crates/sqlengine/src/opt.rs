@@ -203,12 +203,17 @@ fn map_plan(plan: PhysicalPlan, f: &mut dyn FnMut(PhysicalPlan) -> PhysicalPlan)
                 .collect(),
             anti,
         },
-        PhysicalPlan::RowNumber { input, specs } => PhysicalPlan::RowNumber {
+        PhysicalPlan::RowNumber {
+            input,
+            specs,
+            index_ordinals,
+        } => PhysicalPlan::RowNumber {
             input: Box::new(map_plan(*input, f)),
             specs: specs
                 .into_iter()
                 .map(|spec| spec.into_iter().map(|e| map_expr_plans(e, f)).collect())
                 .collect(),
+            index_ordinals,
         },
         PhysicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
             input: Box::new(map_plan(*input, f)),
@@ -311,12 +316,17 @@ fn fold_plan(plan: PhysicalPlan, count: &mut usize) -> PhysicalPlan {
                 .collect(),
             anti,
         },
-        PhysicalPlan::RowNumber { input, specs } => PhysicalPlan::RowNumber {
+        PhysicalPlan::RowNumber {
+            input,
+            specs,
+            index_ordinals,
+        } => PhysicalPlan::RowNumber {
             input,
             specs: specs
                 .into_iter()
                 .map(|spec| spec.into_iter().map(|e| fold_expr(e, count)).collect())
                 .collect(),
+            index_ordinals,
         },
         PhysicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
             input,
@@ -821,7 +831,7 @@ fn plan_schema(plan: &PhysicalPlan) -> Vec<SchemaCol> {
         | PhysicalPlan::HashSemiJoin { input, .. }
         | PhysicalPlan::Sort { input, .. }
         | PhysicalPlan::Distinct { input } => plan_schema(input),
-        PhysicalPlan::RowNumber { input, specs } => {
+        PhysicalPlan::RowNumber { input, specs, .. } => {
             let mut schema = plan_schema(input);
             schema.extend((0..specs.len()).map(|i| (None, format!("#rn{}", i))));
             schema
@@ -1327,9 +1337,14 @@ fn map_children(
             build_keys,
             anti,
         },
-        PhysicalPlan::RowNumber { input, specs } => PhysicalPlan::RowNumber {
+        PhysicalPlan::RowNumber {
+            input,
+            specs,
+            index_ordinals,
+        } => PhysicalPlan::RowNumber {
             input: Box::new(f(*input)),
             specs,
+            index_ordinals,
         },
         PhysicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
             input: Box::new(f(*input)),
@@ -1829,6 +1844,7 @@ mod tests {
             input: Box::new(PhysicalPlan::RowNumber {
                 input: Box::new(scan("t", "t", &["a"])),
                 specs: vec![vec![col(0, "a")]],
+                index_ordinals: false,
             }),
             predicate: eq(col(0, "a"), lit_int(1)),
         };

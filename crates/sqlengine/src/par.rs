@@ -610,7 +610,7 @@ fn pexec_node(
                 ..batch
             })
         }
-        PhysicalPlan::RowNumber { input, specs } => {
+        PhysicalPlan::RowNumber { input, specs, .. } => {
             let batch = par_materialise(ctx, pexec(input, ctx, ctes, scope)?)?;
             let len = batch.len();
             let mut schema = batch.schema.as_ref().clone();

@@ -478,7 +478,7 @@ impl Parser {
                             }
                         }
                         self.expect_symbol(")")?;
-                        Ok(Expr::RowNumber { order_by: keys })
+                        Ok(Expr::row_number(keys))
                     }
                     _ => {
                         if self.eat_symbol(".") {

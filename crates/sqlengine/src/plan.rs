@@ -255,9 +255,16 @@ pub enum PhysicalPlan {
     },
     /// Append one `#rn<i>` column per window specification, numbering rows
     /// by the spec's sort keys.
+    ///
+    /// `index_ordinals` is set when every window of the node numbers
+    /// flat-index ordinals (see [`crate::ast::Expr::RowNumber`]): the
+    /// from-scratch executors still number densely, while
+    /// [`crate::vexec::DeltaExec`] keeps each row's numbers for its lifetime.
+    /// The mark is not rendered by `explain`.
     RowNumber {
         input: Box<PhysicalPlan>,
         specs: Vec<Vec<VExpr>>,
+        index_ordinals: bool,
     },
     /// Stable sort by the given keys.
     Sort {
@@ -307,7 +314,7 @@ impl PhysicalPlan {
             | PhysicalPlan::HashSemiJoin { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Distinct { input } => input.output_columns(),
-            PhysicalPlan::RowNumber { input, specs } => {
+            PhysicalPlan::RowNumber { input, specs, .. } => {
                 let mut cols = input.output_columns();
                 cols.extend((0..specs.len()).map(|i| format!("#rn{}", i)));
                 cols
@@ -602,7 +609,7 @@ impl PhysicalPlan {
                     probe_keys.iter().for_each(|k| go_expr(k, acc));
                     build_keys.iter().for_each(|k| go_expr(k, acc));
                 }
-                PhysicalPlan::RowNumber { input, specs } => {
+                PhysicalPlan::RowNumber { input, specs, .. } => {
                     go_plan(input, acc);
                     specs
                         .iter()
@@ -1047,7 +1054,7 @@ impl Planner<'_> {
         }
 
         // 4. ROW_NUMBER windows used by the projection.
-        let specs = crate::exec::collect_row_number_specs(select);
+        let (specs, index_ordinals) = crate::exec::collect_row_number_specs(select);
         if !specs.is_empty() {
             let mut resolved_specs = Vec::with_capacity(specs.len());
             for keys in &specs {
@@ -1061,6 +1068,7 @@ impl Planner<'_> {
             plan = PhysicalPlan::RowNumber {
                 input: Box::new(plan),
                 specs: resolved_specs,
+                index_ordinals,
             };
             for i in 0..specs.len() {
                 schema.push((None, format!("#rn{}", i)));
@@ -1189,7 +1197,7 @@ impl Planner<'_> {
             }),
             Expr::Not(inner) => Ok(VExpr::Not(Box::new(self.resolve(inner, ctx, schema, rn)?))),
             Expr::Exists(q) => Ok(VExpr::Exists(Box::new(self.plan_subquery(q, ctx, schema)?))),
-            Expr::RowNumber { order_by } => {
+            Expr::RowNumber { order_by, .. } => {
                 let rn = rn.ok_or_else(|| {
                     EngineError::TypeError(
                         "ROW_NUMBER is only allowed in the select list".to_string(),

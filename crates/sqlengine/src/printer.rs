@@ -172,7 +172,7 @@ fn write_expr(out: &mut String, e: &Expr) {
             out.push_str(&sub.replace('\n', " "));
             out.push(')');
         }
-        Expr::RowNumber { order_by } => {
+        Expr::RowNumber { order_by, .. } => {
             out.push_str("ROW_NUMBER() OVER (ORDER BY ");
             for (i, k) in order_by.iter().enumerate() {
                 if i > 0 {

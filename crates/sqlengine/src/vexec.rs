@@ -27,7 +27,7 @@ use crate::plan::{BuildSide, OpActuals, PhysicalPlan, VExpr};
 use crate::storage::{ColumnarResult, Storage};
 use crate::value::{compare_rows, ParamValues, Row, SqlValue};
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -616,13 +616,14 @@ fn exec_node(
                 ..batch
             })
         }
-        PhysicalPlan::RowNumber { input, specs } => {
+        PhysicalPlan::RowNumber { input, specs, .. } => {
             // Ties in a window's keys are broken by the batch's row order
             // (stable sort), which may differ from the interpreter's join
             // order when the planner chose a different build side — the same
             // latitude PostgreSQL has for tied ROW_NUMBER keys. The shredding
-            // translation only numbers over key columns that uniquely
-            // identify rows, so its stages are never affected.
+            // translation's windows order by every generator column, so rows
+            // they tie on agree in all of them and which takes which number
+            // cannot change a stitched result.
             let batch = exec(input, ctx, ctes, scope)?.materialised();
             let len = batch.len();
             let mut schema = batch.schema.as_ref().clone();
@@ -958,10 +959,31 @@ impl DeltaEnv {
 /// append-at-end — the same discipline [`Storage::apply_delta`]
 /// (`crate::delta`) uses for tables — and no operator lets hash-map
 /// iteration order reach its output, so two structurally identical subplans
-/// (e.g. the shared outer-query CTE of two shredded stages) maintained from
-/// identical seeds stay row-for-row identical. Window numbering
-/// (`RowNumber`) therefore assigns the same ranks in every stage, which is
-/// what keeps cross-stage index joins consistent under maintenance.
+/// maintained from identical seeds stay row-for-row identical.
+///
+/// Index ordinals: a `RowNumber` node marked `index_ordinals` (the windows
+/// the shredding translation emits for flat indexes) does not keep its
+/// numbers dense. Stitching needs only two things from them: they are
+/// injective, and a parent stage and its child agree on them. So the node
+/// seeds densely (exactly the batch executor's numbering) and then keeps
+/// each row's ordinal for as long as the row lives. Per batch and window
+/// key, the net change decides the ordinals of the key's *tie class* (its
+/// live rows): a net loss of l retires the class's l largest, a net gain of
+/// g adds g fresh ones from a per-node counter that starts at n+1 after a
+/// seed of n rows, handed out in window-key order. Inserted rows take the
+/// ordinals their key's retractions freed before fresh ones, and a
+/// surviving row renumbers only when it held a retired ordinal. A write
+/// therefore costs the rows it touches, not the table. Cross-stage
+/// invariant: two marked nodes whose windows order by the same key values
+/// (a parent stage's body window and its child's `WITH` window both order
+/// by the generator columns) and whose inputs change by the same number of
+/// rows per key hold, for every key, the same set of ordinals — seeding,
+/// the net-change rule and key-ordered fresh ordinals are each a function
+/// of the per-key counts alone, not of which tied rows a delta names or
+/// whether it cancels a retraction against an insertion. Rows of one tie
+/// class agree in every generator column, so which of them holds which
+/// ordinal of the class cannot change a stitched value. An unmarked
+/// `RowNumber` (user-written SQL) keeps dense numbering under maintenance.
 pub struct DeltaExec {
     caches: Vec<Vec<Row>>,
     /// Static per-node facts (subtree extent, referenced tables, free CTEs),
@@ -981,6 +1003,9 @@ pub struct DeltaExec {
     /// scanning its full cached rows, so a small write costs O(delta ×
     /// matches) rather than O(cache).
     join_index: Vec<Option<JoinIndex>>,
+    /// Per-index-ordinal-`RowNumber`-node numbering state (see the
+    /// type-level docs).
+    ordinals: Vec<Option<Ordinals>>,
 }
 
 /// The two sides' hash indexes of one `HashJoin` node. Bucket order is
@@ -1025,6 +1050,171 @@ impl JoinIndex {
     }
 }
 
+/// The state of one index-ordinal `RowNumber` node: every live output row
+/// (`input ++ one ordinal per window spec`) in a slot, and per spec the
+/// slots of each window key's tie class with the ordinals they hold.
+#[derive(Default)]
+struct Ordinals {
+    /// Per window spec, the largest ordinal handed out; fresh ones continue
+    /// above it.
+    last: Vec<i64>,
+    /// Live output rows; `None` marks a free slot (listed in `free`).
+    slots: Vec<Option<Row>>,
+    free: Vec<usize>,
+    /// Per window spec: key values → `(ordinal, slot)` of every live row
+    /// with that key.
+    classes: Vec<HashMap<Row, Vec<(i64, usize)>>>,
+}
+
+impl Ordinals {
+    /// Fold a normalised input delta into the node and return its output
+    /// delta; `keys[j * nspecs + s]` holds row `j`'s key for window `s`.
+    /// `Err` (bail) when a retraction misses.
+    ///
+    /// Per window and key, the batch's net change decides the class's new
+    /// ordinal set: a net gain of g adds g fresh ordinals, a net loss of l
+    /// retires the class's l largest. That depends only on how many rows of
+    /// each key come and go, never on which of several tied rows a delta
+    /// names, so every node fed the same key deltas ends with the same
+    /// ordinals. Within a class, inserted rows take released ordinals
+    /// first, and a surviving row only renumbers when it held a retired one.
+    fn apply(
+        &mut self,
+        nspecs: usize,
+        delta: DeltaRows,
+        mut keys: Vec<Row>,
+    ) -> Result<DeltaRows, DeltaFail> {
+        if self.classes.len() != nspecs {
+            self.classes = vec![HashMap::new(); nspecs];
+            self.last = vec![0; nspecs];
+        }
+        let mut out = Vec::new();
+        // Per spec: window key → the ordinals this batch's retractions freed.
+        let mut released: Vec<BTreeMap<Row, Vec<i64>>> = vec![BTreeMap::new(); nspecs];
+        // Inserted rows with the index of their first key in `keys`.
+        let mut inserts: Vec<(Row, usize)> = Vec::new();
+        for (j, (row, sign)) in delta.into_iter().enumerate() {
+            let at = j * nspecs;
+            if sign > 0 {
+                inserts.push((row, at));
+                continue;
+            }
+            let arity = row.len();
+            // Of several live copies of the row, the one with the largest
+            // ordinal goes: where the copies make up the whole tie class,
+            // the net-loss rule below then renumbers no survivor.
+            let slot = keys
+                .get(at)
+                .and_then(|key| self.classes[0].get(key))
+                .and_then(|class| {
+                    class
+                        .iter()
+                        .filter(|(_, held_by)| {
+                            self.slots[*held_by]
+                                .as_ref()
+                                .is_some_and(|r| r[..arity] == row[..])
+                        })
+                        .max_by_key(|(ordinal, _)| *ordinal)
+                        .map(|(_, held_by)| *held_by)
+                })
+                .ok_or(DeltaFail::Bail)?;
+            for (s, key) in keys[at..at + nspecs].iter_mut().enumerate() {
+                let key = std::mem::take(key);
+                let class = self.classes[s].get_mut(&key).ok_or(DeltaFail::Bail)?;
+                let mine = class
+                    .iter()
+                    .position(|(_, held_by)| *held_by == slot)
+                    .ok_or(DeltaFail::Bail)?;
+                let (ordinal, _) = class.swap_remove(mine);
+                if class.is_empty() {
+                    self.classes[s].remove(&key);
+                }
+                released[s].entry(key).or_default().push(ordinal);
+            }
+            out.push((
+                self.slots[slot].take().expect("classes list live slots"),
+                -1,
+            ));
+            self.free.push(slot);
+        }
+        // The ordinal of insert `i` for window `s` at `i * nspecs + s`.
+        let mut numbers = vec![0i64; inserts.len() * nspecs];
+        // Pre-batch images of the surviving rows this batch renumbers.
+        let mut renumbered: BTreeMap<usize, Row> = BTreeMap::new();
+        for (s, released) in released.into_iter().enumerate() {
+            let key_of = |i: usize| &keys[inserts[i].1 + s];
+            let mut arriving: BTreeMap<&Row, Vec<usize>> = BTreeMap::new();
+            for i in 0..inserts.len() {
+                if released.contains_key(key_of(i)) {
+                    arriving.entry(key_of(i)).or_default().push(i);
+                }
+            }
+            for (key, mut freed) in released {
+                let coming = arriving.remove(&key).unwrap_or_default();
+                if coming.len() < freed.len() {
+                    // Net loss: the class retires its largest ordinals; a
+                    // survivor holding one moves to a freed one.
+                    let survivors = self.classes[s].get_mut(&key);
+                    let mut all: Vec<i64> = survivors
+                        .iter()
+                        .flat_map(|class| class.iter().map(|(o, _)| *o))
+                        .chain(freed.iter().copied())
+                        .collect();
+                    all.sort_unstable_by(|a, b| b.cmp(a));
+                    let retired = &all[..freed.len() - coming.len()];
+                    freed.retain(|o| !retired.contains(o));
+                    for (ordinal, slot) in survivors.into_iter().flatten() {
+                        if retired.contains(ordinal) {
+                            *ordinal = freed.pop().expect("one freed ordinal per retired one");
+                            let row = self.slots[*slot].as_mut().expect("classes list live slots");
+                            renumbered.entry(*slot).or_insert_with(|| row.clone());
+                            let at = row.len() - nspecs + s;
+                            row[at] = SqlValue::Int(*ordinal);
+                        }
+                    }
+                }
+                for (i, ordinal) in coming.iter().zip(freed) {
+                    numbers[i * nspecs + s] = ordinal;
+                }
+            }
+            // Rows no freed ordinal covers (ordinals start at 1, so 0 marks
+            // them) take fresh ones, in window-key order; equal keys keep
+            // delta order.
+            let mut fresh: Vec<usize> = (0..inserts.len())
+                .filter(|i| numbers[i * nspecs + s] == 0)
+                .collect();
+            fresh.sort_by(|&a, &b| compare_rows(key_of(a), key_of(b)));
+            for (rank, i) in fresh.iter().enumerate() {
+                numbers[i * nspecs + s] = self.last[s] + 1 + rank as i64;
+            }
+            self.last[s] += fresh.len() as i64;
+        }
+        for (slot, before) in renumbered {
+            out.push((before, -1));
+            let after = self.slots[slot].clone().expect("renumbered rows are live");
+            out.push((after, 1));
+        }
+        for (i, (mut row, at)) in inserts.into_iter().enumerate() {
+            let numbers = &numbers[i * nspecs..(i + 1) * nspecs];
+            let slot = self.free.pop().unwrap_or_else(|| {
+                self.slots.push(None);
+                self.slots.len() - 1
+            });
+            for (s, ordinal) in numbers.iter().enumerate() {
+                let key = std::mem::take(&mut keys[at + s]);
+                self.classes[s]
+                    .entry(key)
+                    .or_default()
+                    .push((*ordinal, slot));
+            }
+            row.extend(numbers.iter().map(|&o| SqlValue::Int(o)));
+            out.push((row.clone(), 1));
+            self.slots[slot] = Some(row);
+        }
+        Ok(out)
+    }
+}
+
 /// Per-node static facts, indexed by pre-order position.
 #[derive(Default)]
 struct NodeInfo {
@@ -1042,12 +1232,12 @@ struct NodeInfo {
     /// *materialised* batch, so `With` maintenance skips materialisation
     /// when this is false.
     execs_subplans: bool,
-    /// Is this node's cache read during *incremental* maintenance? Most
-    /// operators are pure delta transformers — only caches somebody actually
-    /// consults (the root's output, rank and bag-difference state, the sides
-    /// of non-indexed joins, materialised `WITH` definitions) are worth the
-    /// per-write retraction sweep; the rest go stale until the next seed,
-    /// which rebuilds every cache anyway.
+    /// Is this node's cache read at all (while seeding or maintaining)?
+    /// Most operators are pure delta transformers — only caches somebody
+    /// actually consults (the root's output, dense rank and bag-difference
+    /// state, the sides of non-indexed joins, materialised `WITH`
+    /// definitions) are worth holding and sweeping per write; the rest stay
+    /// empty.
     live_cache: bool,
 }
 
@@ -1071,9 +1261,9 @@ fn build_node_info(plan: &PhysicalPlan, acc: &mut Vec<NodeInfo>) {
     };
 }
 
-/// Mark the node caches that incremental maintenance actually reads (see
+/// Mark the node caches that seeding or maintenance actually reads (see
 /// [`NodeInfo::live_cache`]). Mirrors `delta_op`'s consumers exactly:
-/// anything unmarked is never consulted between seeds.
+/// anything unmarked is never consulted.
 fn mark_live_caches(plan: &PhysicalPlan, idx: usize, info: &mut [NodeInfo]) {
     let child_idx = info[idx].first_child;
     match plan {
@@ -1083,12 +1273,15 @@ fn mark_live_caches(plan: &PhysicalPlan, idx: usize, info: &mut [NodeInfo]) {
             let right_idx = child_idx + info[child_idx].len;
             info[right_idx].live_cache = true;
         }
-        PhysicalPlan::RowNumber { specs, .. } => {
+        PhysicalPlan::RowNumber {
+            index_ordinals: false,
+            ..
+        } => {
+            // Dense numbering: seeding and the expression-key fallback
+            // re-rank the full input; the column-key path patches the
+            // node's own cache.
             info[idx].live_cache = true;
-            if all_col_specs(specs).is_none() {
-                // The interpreter fallback re-ranks the full input.
-                info[child_idx].live_cache = true;
-            }
+            info[child_idx].live_cache = true;
         }
         PhysicalPlan::Distinct { .. } => {
             // Multiplicity recovery reads the child's post-delta rows.
@@ -1133,6 +1326,7 @@ impl DeltaExec {
             schemas: vec![None; n],
             cache_replaced: false,
             join_index: (0..n).map(|_| None).collect(),
+            ordinals: (0..n).map(|_| None).collect(),
         }
     }
 
@@ -1149,6 +1343,9 @@ impl DeltaExec {
         }
         for index in &mut self.join_index {
             *index = None;
+        }
+        for state in &mut self.ordinals {
+            *state = None;
         }
         let empty = StorageDelta::default();
         let ctx = DeltaCtx {
@@ -1243,10 +1440,8 @@ impl DeltaExec {
         let raw = self.delta_op(plan, idx, ctx, env)?;
         let replaced = std::mem::take(&mut self.cache_replaced);
         let delta = normalise_delta(raw);
-        // Seeding fills every cache (the seed pass reads them as it goes);
-        // afterwards only the caches some operator actually consults are
-        // kept current.
-        if !replaced && (ctx.mode == DeltaMode::Seed || self.info[idx].live_cache) {
+        // Only the caches some operator actually consults are kept.
+        if !replaced && self.info[idx].live_cache {
             self.update_cache(idx, &delta)?;
         }
         Ok(delta)
@@ -1457,16 +1652,35 @@ impl DeltaExec {
                 }
                 Ok(out)
             }
-            PhysicalPlan::RowNumber { input, specs } => {
+            PhysicalPlan::RowNumber {
+                input,
+                specs,
+                index_ordinals,
+            } => {
                 let schema = self.node_schema(input, child_idx, env)?;
                 let din = self.delta_node(input, child_idx, ctx, env)?;
                 if din.is_empty() {
                     return Ok(Vec::new());
                 }
-                // The common shredded shape orders each window by plain
-                // columns; ranks then shift only where sorted positions
-                // move, so the cached output can be patched in place from
-                // the input delta alone — no re-sort, no full-output clone.
+                if *index_ordinals {
+                    let mut keys = Vec::with_capacity(din.len() * specs.len());
+                    for (row, _) in &din {
+                        for spec in specs {
+                            keys.push(
+                                spec.iter()
+                                    .map(|k| eval_row(k, row, &schema, ctx, env))
+                                    .collect::<Result<Row, _>>()?,
+                            );
+                        }
+                    }
+                    return self.ordinals[idx]
+                        .get_or_insert_with(Ordinals::default)
+                        .apply(specs.len(), din, keys);
+                }
+                // Dense numbering. When every window orders by plain
+                // columns, ranks shift only where sorted positions move, so
+                // the cached output can be patched in place from the input
+                // delta alone — no re-sort, no full-output clone.
                 if ctx.mode == DeltaMode::Incremental {
                     if let Some(col_specs) = all_col_specs(specs) {
                         let delta = incremental_rank(&mut self.caches[idx], &col_specs, &din)?;
@@ -2085,7 +2299,7 @@ fn batch_schema(
         | PhysicalPlan::HashSemiJoin { input, .. }
         | PhysicalPlan::Sort { input, .. }
         | PhysicalPlan::Distinct { input } => batch_schema(input, cte_schemas),
-        PhysicalPlan::RowNumber { input, specs } => {
+        PhysicalPlan::RowNumber { input, specs, .. } => {
             let mut schema = batch_schema(input, cte_schemas)?.as_ref().clone();
             schema.extend((0..specs.len()).map(|i| (None, format!("#rn{}", i))));
             Ok(Arc::new(schema))
@@ -2516,5 +2730,178 @@ mod tests {
             b.retain(|_, n| *n != 0);
             assert_eq!(b, bag(&expect), "delta must be exact (round {round})");
         }
+    }
+
+    /// Per window key, the sorted ordinals a maintained `(…, key, ordinal)`
+    /// output holds (the key and the ordinal are a row's last two cells).
+    fn ordinals_by_key(rows: &[Row]) -> BTreeMap<Row, Vec<i64>> {
+        let mut out: BTreeMap<Row, Vec<i64>> = BTreeMap::new();
+        for row in rows {
+            let ordinal = row[row.len() - 1].as_int().expect("ordinal column");
+            out.entry(vec![row[row.len() - 2].clone()])
+                .or_default()
+                .push(ordinal);
+        }
+        out.values_mut().for_each(|ords| ords.sort_unstable());
+        out
+    }
+
+    /// The shredding translation's cross-stage invariant in miniature: a
+    /// window over `nums` (rows carry a non-key column `n`, like a parent
+    /// stage's body carries the surrogate `q.rn`) and one over `tags` (rows
+    /// are exactly the key, like a child stage's `WITH` window), both
+    /// marked index ordinals, fed the same key deltas. Per key they must
+    /// hold the same ordinals after every write; rows the write did not
+    /// touch keep theirs, and inserted rows number on from n+1 in key order.
+    #[test]
+    fn marked_row_numbers_fed_identical_deltas_assign_identical_stable_ordinals() {
+        let mut storage = Storage::new();
+        storage
+            .create_table(TableDef::new(
+                "nums",
+                vec![("n", ColumnType::Int), ("tag", ColumnType::Text)],
+            ))
+            .unwrap();
+        storage
+            .create_table(TableDef::new("tags", vec![("tag", ColumnType::Text)]))
+            .unwrap();
+        for (n, tag) in [(1, "odd"), (2, "even"), (3, "odd"), (4, "even")] {
+            storage
+                .insert("nums", vec![SqlValue::Int(n), SqlValue::str(tag)])
+                .unwrap();
+            storage.insert("tags", vec![SqlValue::str(tag)]).unwrap();
+        }
+        let engine = Engine::with_storage(storage);
+        let parent = engine
+            .prepare(&Query::select(
+                Select::new()
+                    .item(Expr::col("x", "n"), "n")
+                    .item(Expr::col("x", "tag"), "tag")
+                    .item(Expr::index_ordinal(vec![Expr::col("x", "tag")]), "ord")
+                    .from_named("nums", "x"),
+            ))
+            .unwrap();
+        let child = engine
+            .prepare(&Query::select(
+                Select::new()
+                    .item(Expr::col("t", "tag"), "tag")
+                    .item(Expr::index_ordinal(vec![Expr::col("t", "tag")]), "ord")
+                    .from_named("tags", "t"),
+            ))
+            .unwrap();
+        let params = ParamValues::new();
+        let mut dp = DeltaExec::new(&parent);
+        let mut dc = DeltaExec::new(&child);
+        dp.seed(&parent, &engine.storage(), &params).unwrap();
+        dc.seed(&child, &engine.storage(), &params).unwrap();
+        // Seeding numbers densely, exactly like the batch executor.
+        assert_eq!(
+            sorted(dp.rows().to_vec()),
+            sorted(engine.execute_plan(&parent).unwrap().into_result_set().rows)
+        );
+        assert_eq!(ordinals_by_key(dp.rows()), ordinals_by_key(dc.rows()));
+
+        let s = |v: &str| SqlValue::str(v);
+        // Seeded: even → {1, 2} (`n` = 2 holds 1), odd → {3, 4} (`n` = 1
+        // holds 3).
+        let rounds = [
+            (
+                // Retract the `even` row holding 1: the class gives up 2, so
+                // its survivor takes 1 over (the `tags` side simply drops
+                // its 2). Fresh keys on both sides of every survivor number
+                // on from 5 in key order.
+                WriteBatch::new()
+                    .delete("nums", vec![SqlValue::Int(2), s("even")])
+                    .delete("tags", vec![s("even")])
+                    .insert("nums", vec![SqlValue::Int(9), s("zzz")])
+                    .insert("tags", vec![s("zzz")])
+                    .insert("nums", vec![SqlValue::Int(0), s("aaa")])
+                    .insert("tags", vec![s("aaa")]),
+                vec![
+                    ("aaa", vec![5]),
+                    ("even", vec![1]),
+                    ("odd", vec![3, 4]),
+                    ("zzz", vec![6]),
+                ],
+            ),
+            (
+                // Retract the `odd` row holding 4: no one renumbers.
+                WriteBatch::new()
+                    .delete("nums", vec![SqlValue::Int(3), s("odd")])
+                    .delete("tags", vec![s("odd")])
+                    .insert("nums", vec![SqlValue::Int(8), s("mmm")])
+                    .insert("tags", vec![s("mmm")]),
+                vec![
+                    ("aaa", vec![5]),
+                    ("even", vec![1]),
+                    ("mmm", vec![7]),
+                    ("odd", vec![3]),
+                    ("zzz", vec![6]),
+                ],
+            ),
+            (
+                // A second `odd` joins the class with a fresh ordinal.
+                WriteBatch::new()
+                    .insert("nums", vec![SqlValue::Int(7), s("odd")])
+                    .insert("tags", vec![s("odd")]),
+                vec![
+                    ("aaa", vec![5]),
+                    ("even", vec![1]),
+                    ("mmm", vec![7]),
+                    ("odd", vec![3, 8]),
+                    ("zzz", vec![6]),
+                ],
+            ),
+            (
+                // One `odd` row leaves and another arrives: the key's net
+                // change is zero, which `tags` sees as no delta at all, so
+                // the arriving row must take the leaving row's ordinal.
+                WriteBatch::new()
+                    .delete("nums", vec![SqlValue::Int(1), s("odd")])
+                    .insert("nums", vec![SqlValue::Int(5), s("odd")]),
+                vec![
+                    ("aaa", vec![5]),
+                    ("even", vec![1]),
+                    ("mmm", vec![7]),
+                    ("odd", vec![3, 8]),
+                    ("zzz", vec![6]),
+                ],
+            ),
+        ];
+        for (round, (batch, expected)) in rounds.into_iter().enumerate() {
+            let delta = engine.apply_batch(&batch).unwrap();
+            let storage = engine.storage();
+            assert!(dp
+                .apply(&parent, &storage, &params, &delta)
+                .unwrap()
+                .is_some());
+            assert!(dc
+                .apply(&child, &storage, &params, &delta)
+                .unwrap()
+                .is_some());
+            drop(storage);
+            let held = ordinals_by_key(dp.rows());
+            assert_eq!(held, ordinals_by_key(dc.rows()), "round {round}");
+            let expected: BTreeMap<Row, Vec<i64>> = expected
+                .into_iter()
+                .map(|(key, ords)| (vec![s(key)], ords))
+                .collect();
+            assert_eq!(held, expected, "round {round}");
+        }
+        // The survivor of the renumbered `even` class now holds 1, the
+        // later `odd` kept its 8, and the replacing `odd` took over 3.
+        let holder = |n: i64| {
+            dp.rows()
+                .iter()
+                .find(|r| r[0] == SqlValue::Int(n))
+                .map(|r| r[2].clone())
+        };
+        assert_eq!(holder(4), Some(SqlValue::Int(1)));
+        assert_eq!(holder(7), Some(SqlValue::Int(8)));
+        assert_eq!(holder(5), Some(SqlValue::Int(3)));
+        // Same rows as a from-scratch run, numbered differently.
+        let recomputed = engine.execute_plan(&parent).unwrap().into_result_set().rows;
+        let strip = |rows: Vec<Row>| sorted(rows.into_iter().map(|r| r[..2].to_vec()).collect());
+        assert_eq!(strip(dp.rows().to_vec()), strip(recomputed));
     }
 }

@@ -4,6 +4,7 @@
 //! for query shredding and for the loop-lifting baseline — all through the
 //! `Shredder` session API.
 
+use nrc::types::BaseType;
 use query_shredding::prelude::*;
 use query_shredding::shredding;
 
@@ -181,4 +182,96 @@ fn the_low_level_pipeline_building_blocks_remain_usable() {
     assert!(shredding::pipeline::execute(&compiled, &engine)
         .unwrap()
         .multiset_eq(&reference));
+}
+
+/// A keyless outer table holding duplicate rows: `departments(name)` has
+/// `"A"` twice, so the generator columns alone cannot tell the two copies
+/// apart. The parent stage and its child must still number the employees of
+/// both copies alike, or one employee's tasks end up under another.
+fn duplicate_department_db() -> Database {
+    let schema = Schema::new()
+        .with_table(TableSchema::new(
+            "departments",
+            vec![("name", BaseType::String)],
+        ))
+        .with_table(TableSchema::new(
+            "employees",
+            vec![("name", BaseType::String), ("dept", BaseType::String)],
+        ))
+        .with_table(TableSchema::new(
+            "tasks",
+            vec![("emp", BaseType::String), ("task", BaseType::String)],
+        ));
+    let mut db = Database::new(schema);
+    for _ in 0..2 {
+        db.insert_row("departments", vec![("name", Value::string("A"))])
+            .unwrap();
+    }
+    for (name, dept) in [("x", "A"), ("y", "A")] {
+        db.insert_row(
+            "employees",
+            vec![("name", Value::string(name)), ("dept", Value::string(dept))],
+        )
+        .unwrap();
+    }
+    for (emp, task) in [("x", "tx"), ("y", "ty")] {
+        db.insert_row(
+            "tasks",
+            vec![("emp", Value::string(emp)), ("task", Value::string(task))],
+        )
+        .unwrap();
+    }
+    db
+}
+
+/// Three levels shaped like Qorg: departments → workers → their tasks.
+fn workers_with_tasks() -> nrc::Term {
+    for_in(
+        "d",
+        table("departments"),
+        singleton(record(vec![
+            ("dept", project(var("d"), "name")),
+            (
+                "workers",
+                for_where(
+                    "e",
+                    table("employees"),
+                    eq(project(var("e"), "dept"), project(var("d"), "name")),
+                    singleton(record(vec![
+                        ("name", project(var("e"), "name")),
+                        (
+                            "tasks",
+                            for_where(
+                                "t",
+                                table("tasks"),
+                                eq(project(var("t"), "emp"), project(var("e"), "name")),
+                                singleton(project(var("t"), "task")),
+                            ),
+                        ),
+                    ])),
+                ),
+            ),
+        ])),
+    )
+}
+
+#[test]
+fn duplicate_rows_in_a_keyless_outer_table_keep_each_subtree_with_its_parent() {
+    let q = workers_with_tasks();
+    for workers in [1, 2] {
+        let session = Shredder::builder()
+            .database(duplicate_department_db())
+            .workers(workers)
+            .build()
+            .unwrap();
+        let reference = session.oracle(&q).unwrap();
+        let shredded = session.run(&q).unwrap();
+        assert!(
+            shredded.multiset_eq(&reference),
+            "workers({}): {:?} differs from the nested semantics {:?}",
+            workers,
+            shredded,
+            reference
+        );
+    }
 }

@@ -5,6 +5,7 @@
 //! storage — across the full benchmark suite (QF1–QF6 and Q1–Q6) and all
 //! three indexing schemes.
 
+use nrc::types::BaseType;
 use query_shredding::prelude::*;
 
 fn small_db() -> Database {
@@ -160,4 +161,210 @@ fn maintain_nanos_accumulates_per_maintained_batch() {
     assert!(after_one > 0, "a maintained batch costs measurable time");
     session.apply_batch(&stream.next_batch()).unwrap();
     assert!(sub.maintain_nanos() > after_one, "the counter accumulates");
+}
+
+/// Departments → employees who out-earn some colleague → their tasks. The
+/// colleague test correlates through `<`, which the optimizer cannot turn
+/// into hash keys (analysis warning O001): the employee stage keeps a
+/// correlated semi-join over `employees`, so every employee write makes it
+/// bail, while the department stage above it stays incremental.
+fn out_earners_with_tasks() -> nrc::Term {
+    for_in(
+        "d",
+        table("departments"),
+        singleton(record(vec![
+            ("dept", project(var("d"), "name")),
+            (
+                "earners",
+                for_where(
+                    "e",
+                    table("employees"),
+                    and(
+                        eq(project(var("e"), "dept"), project(var("d"), "name")),
+                        not(is_empty(for_where(
+                            "c",
+                            table("employees"),
+                            lt(project(var("c"), "salary"), project(var("e"), "salary")),
+                            singleton(project(var("c"), "name")),
+                        ))),
+                    ),
+                    singleton(record(vec![
+                        ("name", project(var("e"), "name")),
+                        (
+                            "tasks",
+                            for_where(
+                                "t",
+                                table("tasks"),
+                                eq(project(var("t"), "employee"), project(var("e"), "name")),
+                                singleton(project(var("t"), "task")),
+                            ),
+                        ),
+                    ])),
+                ),
+            ),
+        ])),
+    )
+}
+
+/// Delete-heavy churn on the outer tables retires index ordinals all the
+/// time and hands out fresh ones on every insert. After every batch each
+/// subscription must still equal a fresh execution — including the O001
+/// term, whose bails re-seed every stage of the view at once (a stage
+/// re-seeded alone would renumber densely under its incrementally
+/// maintained parent).
+#[test]
+fn delete_heavy_outer_churn_keeps_every_view_equal_to_recompute() {
+    let db = small_db();
+    let mut queries = all_benchmark_queries();
+    queries.push(("out-earners", out_earners_with_tasks()));
+    for (name, q) in queries {
+        let session = Shredder::builder()
+            .database(db.clone())
+            .verify(true)
+            .build()
+            .unwrap();
+        let prepared = session.prepare(&q).unwrap();
+        let sub = session.subscribe(&prepared).unwrap();
+        let mut stream = MutationStream::over(
+            &db,
+            MutationConfig {
+                ops_per_batch: 4,
+                leaf_bias: 0.0,
+                delete_weight: 5,
+                seed: 29,
+                ..MutationConfig::default()
+            },
+        );
+        for round in 0..12 {
+            session.apply_batch(&stream.next_batch()).unwrap();
+            let recomputed = session.execute(&prepared).unwrap();
+            assert!(
+                sub.value().unwrap().multiset_eq(&recomputed),
+                "{name} diverged from recompute after batch {round}"
+            );
+        }
+        if name == "out-earners" {
+            assert!(
+                prepared.check().has_code(
+                    query_shredding::shredding::analysis::codes::RETAINED_CORRELATED_SUBQUERY
+                ),
+                "the correlated term must keep its semi-join: {}",
+                prepared.check()
+            );
+            assert!(sub.reseeds() > 0, "employee writes make the view re-seed");
+        }
+    }
+}
+
+/// Keyless departments with a duplicate name: `"A"` twice. Rows the index
+/// windows tie on (both copies of `"A"`, and each employee under either
+/// copy) hold interchangeable ordinals; deleting one copy must retire the
+/// same ordinals in the employee stage as in the task stage below it, even
+/// when the employee stage has to hand a retired ordinal's place to a
+/// surviving row.
+#[test]
+fn writes_to_duplicate_outer_rows_keep_subtrees_with_their_parents() {
+    use query_shredding::sqlengine::SqlValue;
+    let schema = Schema::new()
+        .with_table(TableSchema::new(
+            "departments",
+            vec![("name", BaseType::String)],
+        ))
+        .with_table(TableSchema::new(
+            "employees",
+            vec![("name", BaseType::String), ("dept", BaseType::String)],
+        ))
+        .with_table(TableSchema::new(
+            "tasks",
+            vec![("employee", BaseType::String), ("task", BaseType::String)],
+        ));
+    let mut db = Database::new(schema);
+    for dept in ["A", "A", "B"] {
+        db.insert_row("departments", vec![("name", Value::string(dept))])
+            .unwrap();
+    }
+    for (name, dept) in [("x", "A"), ("y", "A"), ("z", "B")] {
+        db.insert_row(
+            "employees",
+            vec![("name", Value::string(name)), ("dept", Value::string(dept))],
+        )
+        .unwrap();
+    }
+    for (employee, task) in [("x", "tx"), ("y", "ty"), ("z", "tz")] {
+        db.insert_row(
+            "tasks",
+            vec![
+                ("employee", Value::string(employee)),
+                ("task", Value::string(task)),
+            ],
+        )
+        .unwrap();
+    }
+    let q = for_in(
+        "d",
+        table("departments"),
+        singleton(record(vec![
+            ("dept", project(var("d"), "name")),
+            (
+                "workers",
+                for_where(
+                    "e",
+                    table("employees"),
+                    eq(project(var("e"), "dept"), project(var("d"), "name")),
+                    singleton(record(vec![
+                        ("name", project(var("e"), "name")),
+                        (
+                            "tasks",
+                            for_where(
+                                "t",
+                                table("tasks"),
+                                eq(project(var("t"), "employee"), project(var("e"), "name")),
+                                singleton(project(var("t"), "task")),
+                            ),
+                        ),
+                    ])),
+                ),
+            ),
+        ])),
+    );
+    let session = Shredder::over(db).unwrap();
+    let prepared = session.prepare(&q).unwrap();
+    let sub = session.subscribe(&prepared).unwrap();
+    let s = |v: &str| SqlValue::str(v);
+    let batches = [
+        // A second, identical `x` in `A`: four employee rows now tie on
+        // `(A, x)`, two under each copy of `A`.
+        WriteBatch::new().insert("employees", vec![s("x"), s("A")]),
+        WriteBatch::new().delete("departments", vec![s("A")]),
+        WriteBatch::new()
+            .insert("departments", vec![s("A")])
+            .insert("employees", vec![s("w"), s("A")])
+            .insert("tasks", vec![s("w"), s("tw")]),
+        // One copy of `A` leaves while a second `y` arrives under the
+        // other: the task stage's `(A, y)` rows cancel, the employee stage's
+        // differ in `q.rn` and do not.
+        WriteBatch::new()
+            .delete("departments", vec![s("A")])
+            .insert("employees", vec![s("y"), s("A")]),
+        WriteBatch::new().insert("departments", vec![s("A")]),
+        WriteBatch::new().delete("employees", vec![s("x"), s("A")]),
+        WriteBatch::new()
+            .delete("departments", vec![s("A")])
+            .insert("departments", vec![s("B")]),
+        WriteBatch::new().insert("employees", vec![s("x"), s("B")]),
+        WriteBatch::new().delete("departments", vec![s("B")]),
+    ];
+    for (round, batch) in batches.iter().enumerate() {
+        session.apply_batch(batch).unwrap();
+        let recomputed = session.execute(&prepared).unwrap();
+        assert!(
+            sub.value().unwrap().multiset_eq(&recomputed),
+            "diverged from recompute after batch {round}"
+        );
+    }
+    assert_eq!(
+        sub.reseeds(),
+        0,
+        "duplicates stay inside the incremental fragment"
+    );
 }

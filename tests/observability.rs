@@ -412,6 +412,84 @@ fn committed_writes_bump_the_write_counters_and_maintain_histogram() {
     assert!(maintain.min <= maintain.p50 && maintain.p50 <= maintain.max);
 }
 
+/// A write outside the incremental fragment re-seeds every stage of the
+/// view it hits, and the registry counts each such fall-back once, so a
+/// session's metrics show when live views stopped being incremental.
+#[test]
+fn a_view_that_falls_back_to_reseeding_bumps_the_reseed_counter() {
+    use query_shredding::sqlengine::SqlValue;
+    let session = Shredder::over(small_db()).unwrap();
+    // Correlated through `<`: the semi-join over `employees` stays
+    // correlated, so an employee write takes the view out of the
+    // incremental fragment.
+    let correlated = for_where(
+        "d",
+        table("departments"),
+        not(is_empty(for_where(
+            "e",
+            table("employees"),
+            lt(project(var("e"), "name"), project(var("d"), "name")),
+            singleton(project(var("e"), "name")),
+        ))),
+        singleton(project(var("d"), "name")),
+    );
+    let bailing = session
+        .subscribe(&session.prepare(&correlated).unwrap())
+        .unwrap();
+    let (_, q1) = datagen::queries::nested_queries().remove(0);
+    let incremental = session.subscribe(&session.prepare(&q1).unwrap()).unwrap();
+
+    let contact = vec![
+        SqlValue::Int(90_001),
+        SqlValue::str("nowhere"),
+        SqlValue::str("Zoe"),
+        SqlValue::Bool(true),
+    ];
+    session
+        .apply_batch(&WriteBatch::new().insert("contacts", contact))
+        .unwrap();
+    assert_eq!(
+        session.metrics_snapshot().counter("delta.reseeds"),
+        Some(0),
+        "the counter is registered, at zero, once live views are maintained"
+    );
+
+    let employee = vec![
+        SqlValue::Int(90_001),
+        SqlValue::str("nowhere"),
+        SqlValue::str("Aaron"),
+        SqlValue::Int(1),
+    ];
+    session
+        .apply_batch(&WriteBatch::new().insert("employees", employee))
+        .unwrap();
+    assert_eq!(
+        session.metrics_snapshot().counter("delta.reseeds"),
+        Some(1),
+        "one view fell back once"
+    );
+    assert_eq!(bailing.reseeds(), 1, "a one-stage view re-seeds one stage");
+    assert_eq!(incremental.reseeds(), 0);
+
+    let task = vec![
+        SqlValue::Int(90_001),
+        SqlValue::str("Aaron"),
+        SqlValue::str("abstract"),
+    ];
+    session
+        .apply_batch(&WriteBatch::new().insert("tasks", task))
+        .unwrap();
+    assert_eq!(
+        session.metrics_snapshot().counter("delta.reseeds"),
+        Some(1),
+        "a write the correlated view does not read leaves it incremental"
+    );
+    let recomputed = session
+        .execute(&session.prepare(&correlated).unwrap())
+        .unwrap();
+    assert!(bailing.value().unwrap().multiset_eq(&recomputed));
+}
+
 #[test]
 fn a_dropped_subscription_stops_contributing_maintenance_samples() {
     let db = small_db();
