@@ -1753,8 +1753,10 @@ impl Shredder {
     /// validation error nothing is applied.
     ///
     /// Observability: bumps the `writes.applied` counter, adds the delta's
-    /// signed row count to `delta.rows`, and records one `stage.maintain`
-    /// histogram sample per maintained subscription. Each subscription whose
+    /// signed row count to `delta.rows`, records one `write.apply`
+    /// histogram sample for the storage commit (waiting for the storage
+    /// lock, validating and applying the batch) and one `stage.maintain`
+    /// sample per maintained subscription. Each subscription whose
     /// maintenance fell outside the incremental fragment, and so re-seeded
     /// all of its stages, bumps `delta.reseeds`.
     ///
@@ -1769,8 +1771,13 @@ impl Shredder {
             .write_lock
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let start = Instant::now();
         let delta = engine.apply_batch(batch)?;
         let metrics = &self.core.metrics;
+        metrics.record(
+            "write.apply",
+            start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+        );
         metrics.counter("writes.applied").inc();
         metrics.counter("delta.rows").add(delta.row_count() as u64);
         let live: Vec<Arc<LiveView>> = {
@@ -1834,7 +1841,9 @@ impl Shredder {
     /// The session's metrics registry: counters (`queries.prepared`,
     /// `queries.executed`, `queries.failed`, and for writes
     /// `writes.applied`, `delta.rows`, `delta.reseeds`), per-stage latency
-    /// histograms (`stage.execute`, `stage.stitch`, …), per-operator-kind
+    /// histograms (`stage.execute`, `stage.stitch`, …, and `stage.maintain`
+    /// per maintained live view), the per-batch storage commit histogram
+    /// `write.apply`, per-operator-kind
     /// histograms from profiled runs (`operator.HashJoin`, …) and the
     /// end-to-end `query.total` histogram. Shared by every clone of the
     /// session.

@@ -471,7 +471,7 @@ fn bind_from_item(
                 (rs.columns.clone(), rs.rows.clone())
             } else {
                 let table = ctx.storage.table(name)?;
-                (table.def.column_names(), table.rows.clone())
+                (table.def.column_names(), table.rows().to_vec())
             }
         }
         TableSource::Subquery(q) => {

@@ -6,7 +6,7 @@
 
 use crate::error::EngineError;
 use crate::value::{Row, SqlValue};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
@@ -85,6 +85,10 @@ impl TableDef {
     }
 }
 
+/// The shared column-major view of a table: one `Arc` per column, in
+/// declaration order.
+type SharedColumns = Arc<Vec<Arc<Vec<SqlValue>>>>;
+
 /// The version-stamped columnar cache of a [`Table`].
 ///
 /// The table's mutators bump the table's `version`; the cache keeps the
@@ -92,9 +96,6 @@ impl TableDef {
 /// delete or update can never leak a stale transposition (the historical
 /// `OnceLock` cache invalidated on insert only because insert was the only
 /// mutation).
-/// The shared column-major view a cell caches: one `Arc` per column.
-type SharedColumns = Arc<Vec<Arc<Vec<SqlValue>>>>;
-
 #[derive(Debug, Default)]
 struct ColumnarCell {
     cache: RwLock<Option<(u64, SharedColumns)>>,
@@ -113,21 +114,33 @@ impl ColumnarCell {
     }
 }
 
-/// A stored table: a definition plus its rows.
+/// A stored table: a definition, its rows and a key index over them.
 ///
 /// Rows must be added through [`Table::insert`] and removed or replaced
 /// through [`Table::delete`] / [`Table::update`] (or the [`Storage`] entry
 /// points), which enforce the schema — arity, column types and the key
-/// declared with [`TableDef::with_key`] — and keep the cached columnar view
-/// consistent via a per-table version stamp.
+/// declared with [`TableDef::with_key`] — and keep the key index and the
+/// cached columnar view consistent. Readers see the rows through
+/// [`Table::rows`].
+///
+/// Every row carries a sequence number: the table version at which it was
+/// inserted. Rows are only ever appended, so the sequence numbers run
+/// ascending in row order, and when the table declares a key, the index
+/// maps each non-`NULL` key to its row's sequence number. Finding a key's
+/// row is a hash lookup plus one binary search. Keyless tables and rows
+/// whose key contains `NULL` are not indexed: deleting such a row by value
+/// scans the table.
 #[derive(Debug)]
 pub struct Table {
     pub def: TableDef,
-    pub rows: Vec<Row>,
-    /// Key values seen so far, for O(1) duplicate-key detection.
-    key_seen: HashSet<Row>,
+    rows: Vec<Row>,
+    /// Each row's sequence number, in step with `rows` (ascending).
+    seqs: Vec<u64>,
+    /// Non-`NULL` key → sequence number of the row holding it.
+    key_index: HashMap<Row, u64>,
     /// Bumped by every mutation; pairs with `columnar` so cached column
-    /// vectors are served only while they match the current contents.
+    /// vectors are served only while they match the current contents, and
+    /// numbers inserted rows.
     version: u64,
     /// Lazily transposed column-major view served to the vectorized
     /// executor, stamped with the version it was built at. Behind an
@@ -141,7 +154,8 @@ impl Clone for Table {
         Table {
             def: self.def.clone(),
             rows: self.rows.clone(),
-            key_seen: self.key_seen.clone(),
+            seqs: self.seqs.clone(),
+            key_index: self.key_index.clone(),
             version: self.version,
             columnar: ColumnarCell::default(),
         }
@@ -160,35 +174,46 @@ impl Table {
         Table {
             def,
             rows: Vec::new(),
-            key_seen: HashSet::new(),
+            seqs: Vec::new(),
+            key_index: HashMap::new(),
             version: 0,
             columnar: ColumnarCell::default(),
         }
     }
 
+    /// The rows, in scan order.
+    pub fn rows(&self) -> &[Row] {
+        &self.rows
+    }
+
+    /// The mutation stamp: it grows with every change to the rows and
+    /// stays put otherwise, a rejected mutation included.
+    #[cfg(test)]
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+
     /// The non-`NULL` key projection of a row, when the table declares a key
     /// (rows whose key contains `NULL` never participate in uniqueness).
-    fn key_of(&self, row: &Row) -> Option<Row> {
+    /// The row must have the table's arity.
+    pub(crate) fn key_of(&self, row: &Row) -> Option<Row> {
         if self.def.key.is_empty() {
             return None;
         }
-        self.def
-            .key
-            .iter()
-            .map(|k| {
-                self.def
-                    .column_index(k)
-                    .map(|i| row[i].clone())
-                    .filter(|v| !v.is_null())
-            })
-            .collect()
+        // Sized exactly: the index keeps one of these per keyed row.
+        let mut key = Vec::with_capacity(self.def.key.len());
+        for k in &self.def.key {
+            let v = &row[self.def.column_index(k)?];
+            if v.is_null() {
+                return None;
+            }
+            key.push(v.clone());
+        }
+        Some(key)
     }
 
-    /// Insert a row after checking its arity, column types and — when the
-    /// table declares a key — key uniqueness. A row whose key contains
-    /// `NULL` is never considered a duplicate (SQL `UNIQUE` semantics; the
-    /// natural indexing scheme pads key columns with `NULL`).
-    pub fn insert(&mut self, row: Row) -> Result<(), EngineError> {
+    /// Check a row's arity and column types, as an insert does.
+    pub(crate) fn check_row(&self, row: &Row) -> Result<(), EngineError> {
         if row.len() != self.def.arity() {
             return Err(EngineError::ArityMismatch {
                 table: self.def.name.clone(),
@@ -196,7 +221,7 @@ impl Table {
                 got: row.len(),
             });
         }
-        for ((name, ty), v) in self.def.columns.iter().zip(&row) {
+        for ((name, ty), v) in self.def.columns.iter().zip(row) {
             if !ty.admits(v) {
                 return Err(EngineError::ColumnTypeMismatch {
                     table: self.def.name.clone(),
@@ -206,83 +231,162 @@ impl Table {
                 });
             }
         }
+        Ok(())
+    }
+
+    /// Fail unless the table declares a key (keyed deletes and updates).
+    pub(crate) fn require_key(&self) -> Result<(), EngineError> {
+        if self.def.key.is_empty() {
+            return Err(EngineError::NoDeclaredKey(self.def.name.clone()));
+        }
+        Ok(())
+    }
+
+    pub(crate) fn duplicate_key(&self, key: Row) -> EngineError {
+        EngineError::DuplicateKey {
+            table: self.def.name.clone(),
+            key,
+        }
+    }
+
+    pub(crate) fn no_such_row(&self, row: &Row) -> EngineError {
+        EngineError::NoSuchRow {
+            table: self.def.name.clone(),
+            row: row.clone(),
+        }
+    }
+
+    /// The position of the row holding a non-`NULL` key, through the index.
+    fn position_of_key(&self, key: &Row) -> Option<usize> {
+        let seq = self.key_index.get(key)?;
+        Some(
+            self.seqs
+                .binary_search(seq)
+                .expect("every indexed key names a live row"),
+        )
+    }
+
+    /// The row holding a non-`NULL` key, through the index.
+    pub(crate) fn row_by_key(&self, key: &Row) -> Option<&Row> {
+        self.position_of_key(key).map(|i| &self.rows[i])
+    }
+
+    /// How many rows equal `row`, counting no further than `limit`: a scan,
+    /// for rows the key index does not cover.
+    pub(crate) fn count_up_to(&self, row: &Row, limit: usize) -> usize {
+        self.rows.iter().filter(|r| *r == row).take(limit).count()
+    }
+
+    /// The position of the first row equal to `row`: through the index when
+    /// the row has a non-`NULL` key, by scanning otherwise.
+    fn position(&self, row: &Row) -> Option<usize> {
+        if row.len() != self.def.arity() {
+            return None;
+        }
+        match self.key_of(row) {
+            Some(key) => self.position_of_key(&key).filter(|&i| self.rows[i] == *row),
+            None => self.rows.iter().position(|r| r == row),
+        }
+    }
+
+    /// Insert a row after checking its arity, column types and — when the
+    /// table declares a key — key uniqueness. A row whose key contains
+    /// `NULL` is never considered a duplicate (SQL `UNIQUE` semantics; the
+    /// natural indexing scheme pads key columns with `NULL`).
+    pub fn insert(&mut self, row: Row) -> Result<(), EngineError> {
+        self.check_row(&row)?;
         if let Some(key) = self.key_of(&row) {
-            if !self.key_seen.insert(key.clone()) {
-                return Err(EngineError::DuplicateKey {
-                    table: self.def.name.clone(),
-                    key,
-                });
+            if self.key_index.contains_key(&key) {
+                return Err(self.duplicate_key(key));
             }
+            self.key_index.insert(key, self.version);
         }
         self.rows.push(row);
+        self.seqs.push(self.version);
         self.version += 1;
         Ok(())
     }
 
     /// Delete the first row equal to `row`. Errors when no such row exists;
-    /// the row's key (if any) becomes available for re-insertion.
+    /// the row's key (if any) becomes available for re-insertion. A row
+    /// with a non-`NULL` key is found through the key index; any other row
+    /// by scanning the table.
     pub fn delete(&mut self, row: &Row) -> Result<(), EngineError> {
-        let idx =
-            self.rows
-                .iter()
-                .position(|r| r == row)
-                .ok_or_else(|| EngineError::NoSuchRow {
-                    table: self.def.name.clone(),
-                    row: row.clone(),
-                })?;
-        self.delete_at(idx);
+        let idx = self.position(row).ok_or_else(|| self.no_such_row(row))?;
+        self.remove_at(idx);
         Ok(())
     }
 
     /// Delete the row whose key columns equal `key`, returning the deleted
-    /// row. The table must declare a key.
+    /// row. The table must declare a key; the row is found through the key
+    /// index (a key containing `NULL` names no row).
     pub fn delete_by_key(&mut self, key: &Row) -> Result<Row, EngineError> {
-        let idx = self.position_by_key(key)?;
-        let row = self.rows[idx].clone();
-        self.delete_at(idx);
-        Ok(row)
+        self.require_key()?;
+        let idx = self
+            .position_of_key(key)
+            .ok_or_else(|| self.no_such_row(key))?;
+        Ok(self.remove_at(idx))
     }
 
     /// Replace the row whose key columns equal `key` with `row`, returning
     /// the previous row. The replacement is validated like an insert (arity,
-    /// column types, key uniqueness against every *other* row), and the
-    /// updated row moves to the end of the table — an update is a delete
-    /// plus an insert, exactly the normal form the delta layer emits.
+    /// column types, key uniqueness against every *other* row) before
+    /// anything changes, so a rejected update leaves the table untouched.
+    /// The updated row moves to the end of the table — an update is a
+    /// delete plus an insert, exactly the normal form the delta layer emits.
     pub fn update(&mut self, key: &Row, row: Row) -> Result<Row, EngineError> {
-        let idx = self.position_by_key(key)?;
-        let old = self.rows[idx].clone();
-        self.delete_at(idx);
-        match self.insert(row) {
-            Ok(()) => Ok(old),
-            Err(e) => {
-                // Roll the delete back so a rejected update leaves the table
-                // untouched (the old row returns at the end; multiset
-                // contents are what the engine guarantees).
-                self.insert(old).expect("reinserting the old row succeeds");
-                Err(e)
+        self.require_key()?;
+        let idx = self
+            .position_of_key(key)
+            .ok_or_else(|| self.no_such_row(key))?;
+        self.check_row(&row)?;
+        if let Some(new_key) = self.key_of(&row) {
+            if new_key != *key && self.key_index.contains_key(&new_key) {
+                return Err(self.duplicate_key(new_key));
             }
         }
+        let old = self.remove_at(idx);
+        self.insert(row).expect("the replacement was checked");
+        Ok(old)
     }
 
-    fn position_by_key(&self, key: &Row) -> Result<usize, EngineError> {
-        if self.def.key.is_empty() {
-            return Err(EngineError::NoDeclaredKey(self.def.name.clone()));
-        }
-        self.rows
-            .iter()
-            .position(|r| self.key_of(r).as_deref() == Some(key))
-            .ok_or_else(|| EngineError::NoSuchRow {
-                table: self.def.name.clone(),
-                row: key.clone(),
-            })
-    }
-
-    fn delete_at(&mut self, idx: usize) {
+    /// Remove the row at `idx` by shifting the later rows down, so the rest
+    /// keep their order: the delta executor's caches mirror it.
+    fn remove_at(&mut self, idx: usize) -> Row {
         let row = self.rows.remove(idx);
+        self.seqs.remove(idx);
         if let Some(key) = self.key_of(&row) {
-            self.key_seen.remove(&key);
+            self.key_index.remove(&key);
         }
         self.version += 1;
+        row
+    }
+
+    /// Assert that the key index agrees with the rows: sequence numbers
+    /// ascend in step with `rows`, and exactly the rows with a non-`NULL`
+    /// key are indexed, each under its own key.
+    #[cfg(test)]
+    pub(crate) fn assert_index_consistent(&self) {
+        assert_eq!(self.seqs.len(), self.rows.len(), "{}: seqs", self.def.name);
+        assert!(
+            self.seqs.windows(2).all(|w| w[0] < w[1]),
+            "{}: seqs ascend",
+            self.def.name
+        );
+        let mut keyed = 0;
+        for (row, seq) in self.rows.iter().zip(&self.seqs) {
+            if let Some(key) = self.key_of(row) {
+                keyed += 1;
+                assert_eq!(
+                    self.key_index.get(&key),
+                    Some(seq),
+                    "{}: key {:?}",
+                    self.def.name,
+                    key
+                );
+            }
+        }
+        assert_eq!(self.key_index.len(), keyed, "{}: index size", self.def.name);
     }
 
     /// The column-major view of the table: one shared vector per column, in
@@ -292,7 +396,7 @@ impl Table {
     /// zero-copy, and the `Arc`s let batches outlive the borrow and cross
     /// threads. The cache is stamped with the table version it was built at,
     /// so deletes and updates invalidate it just like inserts.
-    pub fn columnar(&self) -> Arc<Vec<Arc<Vec<SqlValue>>>> {
+    pub fn columnar(&self) -> SharedColumns {
         if let Some(cols) = self.columnar.get(self.version) {
             return cols;
         }
@@ -304,8 +408,7 @@ impl Table {
                 columns[c].push(v.clone());
             }
         }
-        let built: Arc<Vec<Arc<Vec<SqlValue>>>> =
-            Arc::new(columns.into_iter().map(Arc::new).collect());
+        let built: SharedColumns = Arc::new(columns.into_iter().map(Arc::new).collect());
         self.columnar.put(self.version, built.clone());
         built
     }
@@ -766,6 +869,32 @@ mod tests {
             s.delete_by_key("bag", &vec![SqlValue::Int(1)]),
             Err(EngineError::NoDeclaredKey(_))
         ));
+    }
+
+    #[test]
+    fn a_rejected_update_leaves_row_order_and_the_cached_view_untouched() {
+        let mut s = Storage::new();
+        s.create_table(def()).unwrap();
+        for (id, name) in [(1, "a"), (2, "b"), (3, "c")] {
+            s.insert("t", vec![SqlValue::Int(id), SqlValue::str(name)])
+                .unwrap();
+        }
+        let rows = s.table("t").unwrap().rows().to_vec();
+        let version = s.table("t").unwrap().version();
+        let cols = s.table("t").unwrap().columnar();
+        let key = vec![SqlValue::Int(1)];
+        for bad in [
+            vec![SqlValue::Int(2), SqlValue::str("dup")],
+            vec![SqlValue::Int(1)],
+            vec![SqlValue::Int(1), SqlValue::Int(0)],
+        ] {
+            assert!(s.update("t", &key, bad).is_err());
+            let t = s.table("t").unwrap();
+            assert_eq!(t.rows(), rows, "the old row keeps its place");
+            assert_eq!(t.version(), version);
+            assert!(Arc::ptr_eq(&t.columnar(), &cols), "the cached view stays");
+            t.assert_index_consistent();
+        }
     }
 
     #[test]

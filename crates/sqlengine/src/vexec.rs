@@ -1474,7 +1474,7 @@ impl DeltaExec {
                         ))
                         .into());
                     }
-                    Ok(table.rows.iter().map(|r| (r.clone(), 1)).collect())
+                    Ok(table.rows().iter().map(|r| (r.clone(), 1)).collect())
                 }
                 DeltaMode::Incremental => Ok(ctx
                     .delta

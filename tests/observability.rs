@@ -412,6 +412,41 @@ fn committed_writes_bump_the_write_counters_and_maintain_histogram() {
     assert!(maintain.min <= maintain.p50 && maintain.p50 <= maintain.max);
 }
 
+/// The storage commit of each committed batch is timed exactly once,
+/// whether or not live views are maintained after it; a rejected batch
+/// records nothing.
+#[test]
+fn every_committed_batch_records_one_write_apply_sample() {
+    let db = small_db();
+    let session = Shredder::over(db.clone()).unwrap();
+    let mut stream = MutationStream::over(
+        &db,
+        MutationConfig {
+            ops_per_batch: 4,
+            seed: 41,
+            ..MutationConfig::default()
+        },
+    );
+    for _ in 0..3 {
+        session.apply_batch(&stream.next_batch()).unwrap();
+    }
+    let (_, q1) = datagen::queries::nested_queries().remove(0);
+    let _view = session.subscribe(&session.prepare(&q1).unwrap()).unwrap();
+    for _ in 0..2 {
+        session.apply_batch(&stream.next_batch()).unwrap();
+    }
+    assert!(session
+        .apply_batch(&WriteBatch::new().insert("no_such_table", Vec::new()))
+        .is_err());
+
+    let snapshot = session.metrics_snapshot();
+    assert_eq!(snapshot.counter("writes.applied"), Some(5));
+    let apply = snapshot.histogram("write.apply").unwrap();
+    assert_eq!(apply.count, 5, "one sample per committed batch");
+    assert!(apply.min <= apply.p50 && apply.p50 <= apply.max);
+    assert_eq!(snapshot.histogram("stage.maintain").unwrap().count, 2);
+}
+
 /// A write outside the incremental fragment re-seeds every stage of the
 /// view it hits, and the registry counts each such fall-back once, so a
 /// session's metrics show when live views stopped being incremental.
